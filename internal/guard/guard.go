@@ -90,7 +90,8 @@ type Budget struct {
 // Attempt is one route to the block's value: the primary or an alternate.
 type Attempt[T any] struct {
 	// Name identifies the route in traces, fallback reports and metrics
-	// ("dense-lu", "sparse-gs", "uniformization", "mc-estimate", ...).
+	// ("dense-lu", "sparse-gs" or "kron-krylov" as the moment ladder's
+	// primary, then its shared "uniformization" and "mc-estimate" rungs).
 	Name string
 	// Degraded marks estimate-quality routes (last-resort Monte Carlo): a
 	// result accepted from a degraded attempt carries estimator noise rather

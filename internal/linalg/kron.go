@@ -72,9 +72,6 @@ func NewKronOp(nbits int) *KronOp {
 // Dim returns 2^bits.
 func (op *KronOp) Dim() int { return op.dim }
 
-// Bits returns the number of bit positions n.
-func (op *KronOp) Bits() int { return op.bits }
-
 // AddSite accumulates a 2×2 factor K = [[k00 k01],[k10 k11]] acting on the
 // given bit (identity on every other bit).
 func (op *KronOp) AddSite(bit int, k00, k01, k10, k11 float64) {
@@ -138,17 +135,6 @@ func (op *KronOp) AddFixup(row, col int, v float64) {
 		panic("linalg: KronOp fixup index out of range")
 	}
 	op.fixups = append(op.fixups, fixupTerm{row: row, col: col, v: v})
-}
-
-// NNZTerms reports the structural size (site factors, pair factors, whether
-// the exchange family is present, fixup count) for diagnostics.
-func (op *KronOp) NNZTerms() (sites, pairs, fixups int, exchange bool) {
-	for _, h := range op.hasSite {
-		if h {
-			sites++
-		}
-	}
-	return sites, len(op.pairs), len(op.fixups), op.exchange != 0
 }
 
 func (op *KronOp) scratch() (a, b []float64) {

@@ -82,27 +82,6 @@ func (d *DTMC) Validate(tol float64) error {
 	return nil
 }
 
-// StepDistribution returns π·P for a row distribution π.
-func (d *DTMC) StepDistribution(pi []float64) []float64 {
-	if len(pi) != d.n {
-		panic("markov: distribution length mismatch")
-	}
-	out := make([]float64, d.n)
-	for u, p := range pi {
-		if p == 0 {
-			continue
-		}
-		if d.absorbing[u] {
-			out[u] += p
-			continue
-		}
-		for _, e := range d.rows[u] {
-			out[e.To] += p * e.Rate
-		}
-	}
-	return out
-}
-
 // ExpectedVisits returns, for each transient state, the expected number of
 // epochs spent there (counting the initial epoch) before absorption when
 // starting from start. Absorbing states report 0. This is the row of the

@@ -26,51 +26,74 @@ func ladderChain(n int) *CTMC {
 	return c
 }
 
-// TestMomentLadderRouteAgreement forces each rung of the absorption-moment
-// ladder in turn and checks every alternate reproduces the primary's answer:
-// the exact routes to solver tolerance, the Monte Carlo estimate to a few
-// standard errors of its own noise (the xval-style equivalence bound).
+// TestMomentLadderRouteAgreement walks the one moment ladder under each
+// backend's primary: dense-lu on a small chain, sparse-gs past SparseCutoff,
+// and kron-krylov on a matrix-free copy of a chain. Every depth is forced in
+// turn (a saturating depth clamps onto the last rung), and each fallback must
+// name its rung, carry the right Degraded flag, and reproduce the dense-LU
+// answer: the exact rungs to solver tolerance, the Monte Carlo estimate to
+// five standard errors at that backend's replication count.
 func TestMomentLadderRouteAgreement(t *testing.T) {
-	c := ladderChain(40)
-	m1, m2, err := c.AbsorptionMoments(0)
-	if err != nil {
-		t.Fatalf("healthy solve: %v", err)
+	type solveFn func(ctx context.Context) (m1, m2 float64, err error)
+	ctmc := func(c *CTMC) solveFn {
+		return func(ctx context.Context) (float64, float64, error) { return c.AbsorptionMomentsCtx(ctx, 0) }
 	}
-
-	for depth := 1; depth <= 3; depth++ {
-		ctx := guard.WithFaults(context.Background(), guard.FaultSpec{Depth: depth})
-		rec := &guard.Recorder{}
-		ctx = guard.WithRecorder(ctx, rec)
-		f1, f2, err := c.AbsorptionMomentsCtx(ctx, 0)
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		ev := rec.Events()
-		if len(ev) != 1 || ev[0].Attempt != depth {
-			t.Fatalf("depth %d: events = %+v, want one fallback at rung %d", depth, ev, depth)
-		}
-		var tol1, tol2 float64
-		if depth < 3 {
-			// Exact-quality rungs (sparse-GS, uniformization): solver tolerance.
-			tol1, tol2 = 1e-6*m1, 1e-6*m2
-			if ev[0].Degraded {
-				t.Fatalf("depth %d: exact rung flagged degraded", depth)
+	small, large := ladderChain(40), ladderChain(SparseCutoff+10)
+	mf := matrixFreeFromChain(small, 0)
+	cases := []struct {
+		primary string
+		chain   *CTMC // dense-LU reference
+		solve   solveFn
+		rungs   []string // fallback rungs, in ladder order
+		reps    int
+	}{
+		{"dense-lu", small, ctmc(small), []string{"sparse-gs", "uniformization", "mc-estimate"}, mcMomentReps},
+		{"sparse-gs", large, ctmc(large), []string{"uniformization", "mc-estimate"}, mcMomentReps},
+		{"kron-krylov", small, func(ctx context.Context) (float64, float64, error) {
+			return mf.AbsorptionMomentsCtx(ctx)
+		}, []string{"uniformization", "mc-estimate"}, kronMCReps},
+	}
+	for _, tc := range cases {
+		t.Run(tc.primary, func(t *testing.T) {
+			m1, m2, err := tc.chain.AbsorptionMomentsDense(0)
+			if err != nil {
+				t.Fatalf("dense reference: %v", err)
 			}
-		} else {
-			// MC estimate: var(T) = E[T²]−E[T]², SE = √(var/reps); allow 5 SE.
-			se := math.Sqrt((m2 - m1*m1) / mcMomentReps)
-			tol1 = 5 * se
-			tol2 = 5 * se * 3 * m1 // d(T²) ≈ 2T·dT, with slack
-			if !ev[0].Degraded {
-				t.Fatalf("depth 3: MC rung not flagged degraded")
+			rec := &guard.Recorder{}
+			h1, h2, err := tc.solve(guard.WithRecorder(context.Background(), rec))
+			if err != nil || len(rec.Events()) != 0 {
+				t.Fatalf("healthy solve: err %v, events %+v", err, rec.Events())
 			}
-		}
-		if math.Abs(f1-m1) > tol1 {
-			t.Fatalf("depth %d: m1 = %v, want %v ± %v", depth, f1, m1, tol1)
-		}
-		if math.Abs(f2-m2) > tol2 {
-			t.Fatalf("depth %d: m2 = %v, want %v ± %v", depth, f2, m2, tol2)
-		}
+			if math.Abs(h1-m1) > 1e-8*m1 || math.Abs(h2-m2) > 1e-8*m2 {
+				t.Fatalf("primary moments (%v, %v), dense (%v, %v)", h1, h2, m1, m2)
+			}
+			for depth := 1; depth <= len(tc.rungs)+1; depth++ {
+				rung := min(depth, len(tc.rungs))
+				rec := &guard.Recorder{}
+				ctx := guard.WithRecorder(guard.WithFaults(context.Background(), guard.FaultSpec{Depth: depth}), rec)
+				f1, f2, err := tc.solve(ctx)
+				if err != nil {
+					t.Fatalf("depth %d: %v", depth, err)
+				}
+				ev := rec.Events()
+				mcRung := rung == len(tc.rungs)
+				if len(ev) != 1 || ev[0].Attempt != rung || ev[0].Route != tc.rungs[rung-1] || ev[0].Degraded != mcRung {
+					t.Fatalf("depth %d: events = %+v, want one fallback onto %s (rung %d, degraded %v)",
+						depth, ev, tc.rungs[rung-1], rung, mcRung)
+				}
+				tol1, tol2 := 1e-6*m1, 1e-6*m2
+				if mcRung {
+					// var(T) = E[T²]−E[T]², SE = √(var/reps); allow 5 SE, and
+					// d(T²) ≈ 2T·dT with slack for the second moment.
+					se := math.Sqrt((m2 - m1*m1) / float64(tc.reps))
+					tol1, tol2 = 5*se, 5*se*3*m1
+				}
+				if math.Abs(f1-m1) > tol1 || math.Abs(f2-m2) > tol2 {
+					t.Fatalf("depth %d (%s): moments (%v, %v), want (%v ± %v, %v ± %v)",
+						depth, ev[0].Route, f1, f2, m1, tol1, m2, tol2)
+				}
+			}
+		})
 	}
 }
 
@@ -91,29 +114,6 @@ func TestMomentLadderSaturatingDepth(t *testing.T) {
 	}
 	if !(m1 > 0) || math.IsInf(m1, 0) {
 		t.Fatalf("m1 = %v, want positive finite", m1)
-	}
-}
-
-func TestMomentLadderLargeChainStartsSparse(t *testing.T) {
-	c := ladderChain(SparseCutoff + 10) // transient count past the cutoff
-	want1, want2, err := c.AbsorptionMomentsDense(0)
-	if err != nil {
-		t.Fatalf("dense reference: %v", err)
-	}
-	// Depth 1 on a sparse-primary ladder lands on uniformization.
-	ctx := guard.WithFaults(context.Background(), guard.FaultSpec{Depth: 1})
-	rec := &guard.Recorder{}
-	ctx = guard.WithRecorder(ctx, rec)
-	m1, m2, err := c.AbsorptionMomentsCtx(ctx, 0)
-	if err != nil {
-		t.Fatalf("depth 1: %v", err)
-	}
-	ev := rec.Events()
-	if len(ev) != 1 || ev[0].Route != "uniformization" {
-		t.Fatalf("events = %+v, want uniformization fallback", ev)
-	}
-	if math.Abs(m1-want1) > 1e-6*want1 || math.Abs(m2-want2) > 1e-6*want2 {
-		t.Fatalf("uniformization moments (%v, %v) disagree with dense (%v, %v)", m1, m2, want1, want2)
 	}
 }
 
@@ -140,12 +140,12 @@ func TestMomentLadderCancellation(t *testing.T) {
 // TestMomentMCDeterministic pins the last-resort estimate's reproducibility:
 // it draws from fixed internal substreams, so repeated runs are bit-equal.
 func TestMomentMCDeterministic(t *testing.T) {
-	c := ladderChain(10)
-	a, err := func() (momentSolution, error) { return c.absorptionMomentsMC(context.Background(), 0) }()
+	v := ladderChain(10).transientOp().view(0)
+	a, err := v.mc(context.Background())
 	if err != nil {
 		t.Fatalf("mc: %v", err)
 	}
-	b, err := c.absorptionMomentsMC(context.Background(), 0)
+	b, err := v.mc(context.Background())
 	if err != nil {
 		t.Fatalf("mc: %v", err)
 	}
@@ -154,18 +154,48 @@ func TestMomentMCDeterministic(t *testing.T) {
 	}
 }
 
-// TestUniformizedMomentsMassConservation exercises the third rung directly on
+// TestUniformizedMomentsMassConservation exercises the uniformization rung on
 // a chain with an exact answer: a pure Exp(λ) absorption has E[T] = 1/λ and
 // E[T²] = 2/λ².
 func TestUniformizedMomentsMassConservation(t *testing.T) {
 	c := NewCTMC(2)
 	c.AddRate(0, 1, 4)
 	c.SetAbsorbing(1)
-	s, err := c.absorptionMomentsUniformized(context.Background(), 0)
+	s, err := c.transientOp().view(0).uniformized(context.Background())
 	if err != nil {
 		t.Fatalf("uniformized: %v", err)
 	}
 	if math.Abs(s.m1-0.25) > 1e-10 || math.Abs(s.m2-0.125) > 1e-10 {
 		t.Fatalf("moments (%v, %v), want (0.25, 0.125)", s.m1, s.m2)
+	}
+}
+
+// TestCTMCTransientOpMatchesGenerator pins the CTMC's operator view against
+// the dense generator restricted to the transient states, both directions,
+// with an absorbing state in the middle of the index range.
+func TestCTMCTransientOpMatchesGenerator(t *testing.T) {
+	c := NewCTMC(4)
+	c.AddRate(0, 1, 1.5)
+	c.AddRate(0, 2, 0.25)
+	c.AddRate(2, 0, 2)
+	c.AddRate(2, 3, 0.5)
+	c.AddRate(3, 1, 3)
+	c.AddRate(3, 0, 0.75)
+	c.SetAbsorbing(1)
+	op := c.transientOp()
+	q := c.Generator()
+	x := []float64{0.3, -1.2, 2.5}
+	got, gotT := make([]float64, 3), make([]float64, 3)
+	op.MulVecInto(got, x)
+	op.MulVecTransInto(gotT, x)
+	for k, u := range op.order {
+		var want, wantT float64
+		for j, v := range op.order {
+			want += q.At(u, v) * x[j]
+			wantT += q.At(v, u) * x[j]
+		}
+		if math.Abs(got[k]-want) > 1e-12 || math.Abs(gotT[k]-wantT) > 1e-12 {
+			t.Fatalf("row %d: Q_T·x = %v (want %v), Q_Tᵀ·x = %v (want %v)", k, got[k], want, gotT[k], wantT)
+		}
 	}
 }

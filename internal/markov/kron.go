@@ -2,32 +2,24 @@ package markov
 
 // This file extends the absorbing-chain routing one regime past CSR: the
 // matrix-free Kronecker–Krylov engine. Dense LU handles transient spaces
-// below SparseCutoff, the CSR two-level solver carries the mid range, and at
-// KronCutoff transient states even the CSR rows stop fitting a sane budget —
-// 2^n states × O(n²) entries each — so the generator is never enumerated at
-// all. MatrixFree runs the same absorption solves against a linalg.Operator
-// (in practice a linalg.KronOp built by rbmodel from the per-process factor
-// structure), with restarted GMRES for the moment systems, matrix-free
-// uniformization and a jump-chain estimate as fallback rungs, and Krylov
-// exponentials for the transient distributions.
+// below SparseCutoff and the CSR two-level solver carries the mid range; past
+// the enumeration wall even the CSR rows stop fitting a sane budget — 2^n
+// states × O(n²) entries each — so the generator is never enumerated at all.
+// MatrixFree runs the same absorption solves against a linalg.Operator (in
+// practice a linalg.KronOp built by rbmodel from the per-process factor
+// structure): restarted GMRES as the primary of the shared moment ladder
+// (guard.go), and Krylov exponentials for the transient distributions, each
+// segment a recovery block with explicit uniformization as its alternate.
 
 import (
 	"context"
 	"math"
 	"sort"
 
-	"recoveryblocks/internal/dist"
 	"recoveryblocks/internal/guard"
 	"recoveryblocks/internal/linalg"
 	"recoveryblocks/internal/obs"
 )
-
-// KronCutoff is the transient-state count at and above which rbmodel stops
-// enumerating the 2^n+1-state chain into markov.CTMC and builds the
-// matrix-free Kronecker engine instead. 2^16 transient states (n = 16, the
-// historical MaxExactProcesses wall) still enumerate — keeping every
-// pre-existing healthy path byte-identical — while n ≥ 17 routes matrix-free.
-const KronCutoff = 1 << 17
 
 const (
 	// kronRestart and kronMaxIters parameterize the GMRES rung: Krylov
@@ -36,12 +28,6 @@ const (
 	// cycles.
 	kronRestart  = 40
 	kronMaxIters = 4000
-	// kronMCReps sizes the last-resort jump-chain estimate. Far fewer
-	// replications than the enumerated ladder's mcMomentReps: each jump
-	// re-enumerates its row on the fly (the whole point is never holding
-	// 2^n rows), so a replication costs O(jumps·n²) instead of O(jumps·n).
-	// The route is flagged Degraded either way.
-	kronMCReps = 2048
 )
 
 // MatrixFreeSpec assembles a MatrixFree engine. Op is the transient
@@ -68,14 +54,13 @@ type MatrixFreeSpec struct {
 	Precond  func(dst, src []float64)
 	PrecondT func(dst, src []float64)
 	// Rows enumerates state u's transitions on the fly for the jump-chain
-	// rung: yield(to, rate) per transition, to < 0 meaning absorption. nil
-	// disables the rung (it then reports guard.ErrInvalid if reached).
+	// rung: yield(to, rate) per transition, to < 0 meaning absorption.
 	Rows func(u int, yield func(to int, rate float64))
 }
 
 // MatrixFree solves an absorbing chain whose transient generator exists only
 // as an operator. It mirrors CTMC's solve surface (moments ladder, expected
-// occupancy, absorption density/CDF) above KronCutoff.
+// occupancy, absorption density/CDF) past the enumeration wall.
 type MatrixFree struct {
 	spec  MatrixFreeSpec
 	op    *countedOp
@@ -110,6 +95,9 @@ func NewMatrixFree(spec MatrixFreeSpec) *MatrixFree {
 	if spec.Op == nil {
 		panic("markov: MatrixFree needs an operator")
 	}
+	if spec.Rows == nil {
+		panic("markov: MatrixFree needs a row enumerator")
+	}
 	dim := spec.Op.Dim()
 	if spec.Start < 0 || spec.Start >= dim {
 		panic("markov: MatrixFree start state out of range")
@@ -140,29 +128,14 @@ func (m *MatrixFree) AbsorptionMoments() (m1, m2 float64, err error) {
 }
 
 // AbsorptionMomentsCtx returns E[T] and E[T²] of the absorption time from
-// Start, run as a recovery block like the enumerated ladder: the rungs are
-// kron-krylov (restarted GMRES on Q_T·h = −1 and Q_T·h2 = −2·h) →
-// kron-uniformization (transient-mass sums on the matrix-free uniformized
-// chain) → kron-mc (on-the-fly jump-chain estimate, Degraded), each candidate
-// vetted by the same NaN/Inf + Jensen + normwise-residual acceptance test —
-// the residuals evaluated with two extra operator applications, since there
-// are no rows to sweep.
+// Start, run as the shared recovery block of guard.go with kron-krylov
+// (restarted GMRES on Q_T·h = −1 and Q_T·h2 = −2·h) as the primary; the
+// uniformization and mc-estimate rungs and the acceptance test are the ones
+// the enumerated chain uses, applied through the operator.
 func (m *MatrixFree) AbsorptionMomentsCtx(ctx context.Context) (m1, m2 float64, err error) {
 	m.solves.Inc()
-	krylov := guard.Attempt[momentSolution]{Name: "kron-krylov", Run: m.momentsKrylov}
-	unif := guard.Attempt[momentSolution]{Name: "kron-uniformization", Run: m.momentsUniformized}
-	mcEst := guard.Attempt[momentSolution]{Name: "kron-mc", Degraded: true, Run: m.momentsMC}
-	b := guard.Block[momentSolution]{
-		Name:       "markov/absorption-moments",
-		Accept:     m.acceptMoments,
-		Primary:    krylov,
-		Alternates: []guard.Attempt[momentSolution]{unif, mcEst},
-	}
-	res, err := b.Do(ctx)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Value.m1, res.Value.m2, nil
+	v := transientView{op: m.op, gamma: m.gamma, start: m.spec.Start, rows: m.spec.Rows, mcReps: kronMCReps}
+	return v.moments(ctx, guard.Attempt[momentSolution]{Name: "kron-krylov", Run: m.momentsKrylov})
 }
 
 // momentsKrylov is the primary rung: right-preconditioned restarted GMRES on
@@ -199,135 +172,6 @@ func (m *MatrixFree) momentsKrylov(ctx context.Context) (momentSolution, error) 
 	return momentSolution{m1: h[m.spec.Start], m2: h2[m.spec.Start], h: h, h2: h2}, nil
 }
 
-// acceptMoments mirrors the enumerated ladder's acceptance test on the
-// matrix-free operator: finiteness, Jensen consistency, and — when the rung
-// exposes its solution vectors — normwise residuals of both systems, with
-// ‖Q_T‖∞ bounded by 2γ (every row's diagonal and off-diagonal mass are each
-// at most the maximum out-rate).
-func (m *MatrixFree) acceptMoments(s momentSolution) error {
-	if math.IsNaN(s.m1) || math.IsInf(s.m1, 0) || math.IsNaN(s.m2) || math.IsInf(s.m2, 0) {
-		return guard.Rejectedf("non-finite moments E[T]=%v, E[T²]=%v", s.m1, s.m2)
-	}
-	if s.m1 < 0 || s.m2 < s.m1*s.m1*(1-1e-9) {
-		return guard.Rejectedf("inconsistent moments E[T]=%v, E[T²]=%v", s.m1, s.m2)
-	}
-	if s.h == nil {
-		return nil
-	}
-	normA := 2 * m.gamma
-	r := make([]float64, m.dim)
-	m.op.MulVecInto(r, s.h)
-	var res1, normH float64
-	for i, v := range r {
-		res1 = math.Max(res1, math.Abs(v+1)) // Q_T·h − (−1)
-		normH = math.Max(normH, math.Abs(s.h[i]))
-	}
-	if rel := res1 / (normA*normH + 1); !(rel <= residualRelTol) {
-		return guard.Rejectedf("first-moment residual %.3e exceeds %.0e", rel, residualRelTol)
-	}
-	m.op.MulVecInto(r, s.h2)
-	var res2, normH2 float64
-	for i, v := range r {
-		res2 = math.Max(res2, math.Abs(v+2*s.h[i])) // Q_T·h2 − (−2h)
-		normH2 = math.Max(normH2, math.Abs(s.h2[i]))
-	}
-	if rel := res2 / (normA*normH2 + 2*normH); !(rel <= residualRelTol) {
-		return guard.Rejectedf("second-moment residual %.3e exceeds %.0e", rel, residualRelTol)
-	}
-	return nil
-}
-
-// momentsUniformized is the second rung: the transient-mass sums of the
-// enumerated ladder, with the uniformized step π ← π + (Q_Tᵀ·π)/γ applied
-// through the operator instead of a CSR scatter. The absorbing state is
-// implicit, so the transient mass is simply Σ_s π_s; the same conservation
-// guard applies (mass must stay in [0, 1] and never grow).
-func (m *MatrixFree) momentsUniformized(ctx context.Context) (momentSolution, error) {
-	cur := make([]float64, m.dim)
-	cur[m.spec.Start] = 1
-	tmp := make([]float64, m.dim)
-	var eN, eNN float64
-	prev := math.Inf(1)
-	mass := 0.0
-	k := 0
-	for ; k < maxUnifSteps; k++ {
-		mass = linalg.Sum(cur)
-		if mass > prev*(1+1e-12) || mass > 1+1e-9 {
-			return momentSolution{}, guard.Numericalf("markov: kron uniformization lost probability-mass conservation at step %d (mass %v after %v)", k, mass, prev)
-		}
-		prev = mass
-		eN += mass
-		eNN += float64(k+1) * mass
-		if mass < unifMassTol {
-			break
-		}
-		if k%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return momentSolution{}, err
-			}
-		}
-		m.op.MulVecTransInto(tmp, cur)
-		for i, v := range tmp {
-			cur[i] += v / m.gamma
-		}
-	}
-	if mass >= unifMassTol {
-		return momentSolution{}, guard.Numericalf("markov: kron uniformization moments did not converge in %d steps (residual mass %v)", maxUnifSteps, mass)
-	}
-	g := m.gamma
-	return momentSolution{m1: eN / g, m2: 2 * eNN / (g * g)}, nil
-}
-
-// momentsMC is the last-resort rung: the deterministic jump-chain estimate
-// with rows enumerated on the fly — no per-state tables, O(1) memory beyond
-// the replication state. Same fixed internal seed family as the enumerated
-// ladder, so the estimate is reproducible for a given chain.
-func (m *MatrixFree) momentsMC(ctx context.Context) (momentSolution, error) {
-	rows := m.spec.Rows
-	if rows == nil {
-		return momentSolution{}, guard.Invalidf("markov: matrix-free MC rung needs a row enumerator")
-	}
-	obs.C("markov_solve_mc_total").Inc()
-	var sum, sum2 float64
-	for rep := 0; rep < kronMCReps; rep++ {
-		if rep%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return momentSolution{}, err
-			}
-		}
-		rng := dist.Substream(mcMomentSeed, rep)
-		u := m.spec.Start
-		t := 0.0
-		jumps := 0
-		for u >= 0 {
-			out := 0.0
-			rows(u, func(to int, rate float64) { out += rate })
-			if out <= 0 {
-				return momentSolution{}, guard.Invalidf("markov: transient state %d with no exits", u)
-			}
-			t += rng.Exp(out)
-			// Streaming inverse-CDF pick: one uniform, a second enumeration
-			// pass, no per-row allocation.
-			target := rng.Float64() * out
-			next := u
-			acc := 0.0
-			rows(u, func(to int, rate float64) {
-				if acc <= target {
-					next = to
-				}
-				acc += rate
-			})
-			u = next
-			if jumps++; jumps > mcMomentJumps {
-				return momentSolution{}, guard.Numericalf("markov: kron MC absorption estimate exceeded %d jumps in one replication", mcMomentJumps)
-			}
-		}
-		sum += t
-		sum2 += t * t
-	}
-	return momentSolution{m1: sum / kronMCReps, m2: sum2 / kronMCReps}, nil
-}
-
 // ExpectedOccupancy solves oᵀ·Q_T = −e_startᵀ by transposed GMRES: o[s] is
 // the expected time spent in transient state s before absorption.
 func (m *MatrixFree) ExpectedOccupancy() ([]float64, error) {
@@ -352,8 +196,8 @@ func (m *MatrixFree) ExpectedOccupancy() ([]float64, error) {
 // ≥ 0) as 1 minus the surviving transient mass, the transient distribution
 // advanced by Krylov exponentials between consecutive times. eps is the
 // per-evaluation accuracy target.
-func (m *MatrixFree) AbsorptionCDF(times []float64, eps float64) ([]float64, error) {
-	return m.transientSweep(times, eps, func(pi []float64) float64 {
+func (m *MatrixFree) AbsorptionCDF(ctx context.Context, times []float64, eps float64) ([]float64, error) {
+	return m.transientSweep(ctx, times, eps, func(pi []float64) float64 {
 		mass := linalg.Sum(pi)
 		cdf := 1 - mass
 		return math.Min(1, math.Max(0, cdf))
@@ -362,8 +206,8 @@ func (m *MatrixFree) AbsorptionCDF(times []float64, eps float64) ([]float64, err
 
 // AbsorptionDensity evaluates the absorption-time density at the given times:
 // f(t) = Σ_s π_s(t)·a(s) over the sparse absorption-rate vector.
-func (m *MatrixFree) AbsorptionDensity(times []float64, eps float64) ([]float64, error) {
-	return m.transientSweep(times, eps, func(pi []float64) float64 {
+func (m *MatrixFree) AbsorptionDensity(ctx context.Context, times []float64, eps float64) ([]float64, error) {
+	return m.transientSweep(ctx, times, eps, func(pi []float64) float64 {
 		f := 0.0
 		for i, s := range m.spec.AbsorbIdx {
 			f += pi[s] * m.spec.AbsorbRate[i]
@@ -372,7 +216,14 @@ func (m *MatrixFree) AbsorptionDensity(times []float64, eps float64) ([]float64,
 	})
 }
 
-func (m *MatrixFree) transientSweep(times []float64, eps float64, eval func(pi []float64) float64) ([]float64, error) {
+// transientSweep advances the transient distribution from time to time, each
+// segment a recovery block: kron-expv (a Krylov exponential) as the primary
+// and explicit matrix-free uniformization as the alternate — slower (γ·Δt
+// applications instead of a few Krylov substeps) but immune to step-control
+// breakdown. A fallback is reported to the context's guard.Recorder like any
+// other, and the block's own budget check stops the sweep between segments
+// once ctx is done.
+func (m *MatrixFree) transientSweep(ctx context.Context, times []float64, eps float64, eval func(pi []float64) float64) ([]float64, error) {
 	if !sort.Float64sAreSorted(times) {
 		panic("markov: matrix-free transient sweep times must be nondecreasing")
 	}
@@ -389,18 +240,29 @@ func (m *MatrixFree) transientSweep(times []float64, eps float64, eval func(pi [
 			panic("markov: matrix-free transient sweep needs nonnegative times")
 		}
 		if t > last {
-			next, iters, err := linalg.KrylovExpv(m.op, true, pi, t-last, linalg.ExpvOpts{
-				KrylovDim: kronRestart,
-				Tol:       eps,
-			})
-			m.kiters.Add(int64(iters))
-			if err != nil {
-				// Recovery block on the segment: explicit matrix-free
-				// uniformization is slower (γ·Δt applications instead of a few
-				// Krylov substeps) but cannot suffer step-control breakdown.
-				next = m.unifAdvance(pi, t-last, eps)
+			dt := t - last
+			seg := guard.Block[[]float64]{
+				Name: "markov/transient-segment",
+				Primary: guard.Attempt[[]float64]{Name: "kron-expv", Run: func(context.Context) ([]float64, error) {
+					next, iters, err := linalg.KrylovExpv(m.op, true, pi, dt, linalg.ExpvOpts{
+						KrylovDim: kronRestart,
+						Tol:       eps,
+					})
+					m.kiters.Add(int64(iters))
+					if err != nil {
+						return nil, guard.Numericalf("markov: kron Krylov exponential: %v", err)
+					}
+					return next, nil
+				}},
+				Alternates: []guard.Attempt[[]float64]{{Name: "uniformization", Run: func(context.Context) ([]float64, error) {
+					return m.unifAdvance(pi, dt, eps), nil
+				}}},
 			}
-			pi = next
+			res, err := seg.Do(ctx)
+			if err != nil {
+				return nil, err
+			}
+			pi = res.Value
 			last = t
 		}
 		out[i] = eval(pi)

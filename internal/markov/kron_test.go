@@ -2,6 +2,7 @@ package markov
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -92,11 +93,11 @@ func TestMatrixFreeMatchesEnumerated(t *testing.T) {
 	pi0[0] = 1
 	cdf := c.AbsorptionCDF(pi0, times, 1e-12)
 	den := c.AbsorptionDensity(pi0, times, 1e-12)
-	kcdf, err := mf.AbsorptionCDF(times, 1e-12)
+	kcdf, err := mf.AbsorptionCDF(context.Background(), times, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kden, err := mf.AbsorptionDensity(times, 1e-12)
+	kden, err := mf.AbsorptionDensity(context.Background(), times, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,48 +111,36 @@ func TestMatrixFreeMatchesEnumerated(t *testing.T) {
 	}
 }
 
-// TestMatrixFreeLadderFallbacks forces each rung of the matrix-free moment
-// ladder and checks the fallback reproduces the healthy answer: the
-// uniformization rung to solver tolerance, the on-the-fly MC rung to a few
-// standard errors with the Degraded flag set. Saturating depths clamp to the
-// last rung (the recovery-block contract: some alternate always runs).
-func TestMatrixFreeLadderFallbacks(t *testing.T) {
-	c := ladderChain(40)
-	mf := matrixFreeFromChain(c, 0)
-	m1, m2, err := mf.AbsorptionMoments()
+// TestMatrixFreeTransientFallbackRecorded forces every Krylov-exponential
+// segment of the transient sweep onto its uniformization alternate: the
+// fallback must reach the Recorder (so "exact" advice cannot hide it) and the
+// CDF must match the healthy sweep.
+func TestMatrixFreeTransientFallbackRecorded(t *testing.T) {
+	mf := matrixFreeFromChain(ladderChain(40), 0)
+	times := []float64{0, 5, 20, 50, 100}
+	want, err := mf.AbsorptionCDF(context.Background(), times, 1e-12)
 	if err != nil {
-		t.Fatalf("healthy solve: %v", err)
+		t.Fatal(err)
 	}
-
-	for _, depth := range []int{1, 2, 16} {
-		ctx := guard.WithFaults(context.Background(), guard.FaultSpec{Depth: depth})
-		rec := &guard.Recorder{}
-		ctx = guard.WithRecorder(ctx, rec)
-		f1, f2, err := mf.AbsorptionMomentsCtx(ctx)
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
+	rec := &guard.Recorder{}
+	ctx := guard.WithRecorder(guard.WithFaults(context.Background(), guard.FaultSpec{Depth: 1}), rec)
+	got, err := mf.AbsorptionCDF(ctx, times, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := rec.Routes()
+	if len(rec.Events()) != len(times)-1 || len(routes) != 1 || routes[0] != "markov/transient-segment→uniformization" || rec.Degraded() {
+		t.Fatalf("events = %+v, want one exact uniformization fallback per segment", rec.Events())
+	}
+	for i := range times {
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Fatalf("CDF(%g) = %.12g under fallback, healthy %.12g", times[i], got[i], want[i])
 		}
-		ev := rec.Events()
-		wantRung := min(depth, 2)
-		if len(ev) != 1 || ev[0].Attempt != wantRung {
-			t.Fatalf("depth %d: events = %+v, want one fallback at rung %d", depth, ev, wantRung)
-		}
-		if wantRung < 2 {
-			if ev[0].Degraded {
-				t.Fatalf("depth %d: exact rung flagged degraded", depth)
-			}
-			if math.Abs(f1-m1) > 1e-6*m1 || math.Abs(f2-m2) > 1e-6*m2 {
-				t.Fatalf("depth %d: fallback moments (%g, %g) deviate from (%g, %g)", depth, f1, f2, m1, m2)
-			}
-		} else {
-			if !ev[0].Degraded {
-				t.Fatalf("depth %d: MC rung not flagged degraded", depth)
-			}
-			se1 := math.Sqrt((m2 - m1*m1) / kronMCReps)
-			if math.Abs(f1-m1) > 6*se1 {
-				t.Fatalf("depth %d: MC mean %g is %g SE from exact %g", depth, f1, math.Abs(f1-m1)/se1, m1)
-			}
-		}
+	}
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := mf.AbsorptionDensity(cctx, times, 1e-12); !errors.Is(err, guard.ErrBudget) {
+		t.Fatalf("canceled sweep returned %v, want ErrBudget", err)
 	}
 }
 

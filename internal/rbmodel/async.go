@@ -1,6 +1,7 @@
 package rbmodel
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -16,6 +17,13 @@ import (
 // stores ~n²/2 transitions per state — which is also why the larger regime
 // below never enumerates at all.
 const MaxEnumeratedProcesses = 16
+
+// KronCutoff is the state count at and above which the router declines an
+// orbit-lumped chain past MaxEnumeratedProcesses and runs the matrix-free
+// Kronecker engine instead: 2^17, the first cube size that is never
+// enumerated, so a lumped chain is only built where it is smaller than every
+// space the enumerated backend ever held.
+const KronCutoff = 1 << 17
 
 // MaxExactProcesses bounds the exact solvers overall. Beyond
 // MaxEnumeratedProcesses the model switches backends instead of giving up:
@@ -69,7 +77,7 @@ func NewAsync(p Params) (*AsyncModel, error) {
 		// Past the enumeration wall: lump onto per-class counts when the rate
 		// structure allows and actually shrinks the space, otherwise run the
 		// matrix-free Kronecker engine on the full cube.
-		if orb, err := NewOrbit(p); err == nil && orb.NumStates() < markov.KronCutoff {
+		if orb, err := NewOrbit(p); err == nil && orb.NumStates() < KronCutoff {
 			m.orbit = orb
 		} else {
 			m.kron = newKronEngine(p)
@@ -133,6 +141,15 @@ func (m *AsyncModel) MaskOf(state int) int {
 // spaces are the lumped cells and the implicit cube.
 func (m *AsyncModel) Chain() *markov.CTMC { return m.chain }
 
+// exactChain returns the CTMC that answers on the enumerated and orbit
+// routes, with its entry state; the chain is nil on the kron route.
+func (m *AsyncModel) exactChain() (*markov.CTMC, int) {
+	if m.orbit != nil {
+		return m.orbit.Chain(), m.orbit.Entry()
+	}
+	return m.chain, m.Entry()
+}
+
 // buildEntry installs the transitions out of S_r: rule R4 (a fresh recovery
 // point by any process immediately forms the next recovery line) and rule R2
 // applied to the all-ones state (any interaction breaks the pair out of the
@@ -189,13 +206,6 @@ func (m *AsyncModel) buildIntermediate(mask int) {
 	}
 }
 
-// entryDistribution returns the point mass on the entry state.
-func (m *AsyncModel) entryDistribution() []float64 {
-	pi := make([]float64, m.NumStates())
-	pi[m.Entry()] = 1
-	return pi
-}
-
 // MeanX returns E[X], the expected interval between two successive recovery
 // lines, by solving the absorbing chain exactly.
 func (m *AsyncModel) MeanX() (float64, error) {
@@ -205,14 +215,7 @@ func (m *AsyncModel) MeanX() (float64, error) {
 
 // MomentsX returns E[X] and E[X²].
 func (m *AsyncModel) MomentsX() (m1, m2 float64, err error) {
-	switch {
-	case m.chain != nil:
-		return m.chain.AbsorptionMoments(m.Entry())
-	case m.orbit != nil:
-		return m.orbit.MomentsX()
-	default:
-		return m.kron.mf.AbsorptionMoments()
-	}
+	return m.MomentsXCtx(context.Background())
 }
 
 // VarX returns Var[X].
@@ -230,45 +233,35 @@ func (m *AsyncModel) VarX() (float64, error) {
 // route). On a hard numerical failure of the matrix-free sweep every entry is
 // NaN; error-aware callers use densityX.
 func (m *AsyncModel) DensityX(times []float64) []float64 {
-	out, err := m.densityX(times)
+	out, err := m.densityX(context.Background(), times)
 	if err != nil {
 		return nanVec(len(times))
 	}
 	return out
 }
 
-func (m *AsyncModel) densityX(times []float64) ([]float64, error) {
-	switch {
-	case m.chain != nil:
-		return m.chain.AbsorptionDensity(m.entryDistribution(), times, 1e-10), nil
-	case m.orbit != nil:
-		c := m.orbit
-		return c.Chain().AbsorptionDensity(pointMass(c.NumStates(), c.Entry()), times, 1e-10), nil
-	default:
-		return m.kron.mf.AbsorptionDensity(times, 1e-10)
+func (m *AsyncModel) densityX(ctx context.Context, times []float64) ([]float64, error) {
+	if c, entry := m.exactChain(); c != nil {
+		return c.AbsorptionDensity(pointMass(c.N(), entry), times, 1e-10), nil
 	}
+	return m.kron.mf.AbsorptionDensity(ctx, times, 1e-10)
 }
 
 // CDFX evaluates P(X ≤ t) at the given nondecreasing times. The NaN
 // convention matches DensityX.
 func (m *AsyncModel) CDFX(times []float64) []float64 {
-	out, err := m.cdfX(times)
+	out, err := m.cdfX(context.Background(), times)
 	if err != nil {
 		return nanVec(len(times))
 	}
 	return out
 }
 
-func (m *AsyncModel) cdfX(times []float64) ([]float64, error) {
-	switch {
-	case m.chain != nil:
-		return m.chain.AbsorptionCDF(m.entryDistribution(), times, 1e-10), nil
-	case m.orbit != nil:
-		c := m.orbit
-		return c.Chain().AbsorptionCDF(pointMass(c.NumStates(), c.Entry()), times, 1e-10), nil
-	default:
-		return m.kron.mf.AbsorptionCDF(times, 1e-10)
+func (m *AsyncModel) cdfX(ctx context.Context, times []float64) ([]float64, error) {
+	if c, entry := m.exactChain(); c != nil {
+		return c.AbsorptionCDF(pointMass(c.N(), entry), times, 1e-10), nil
 	}
+	return m.kron.mf.AbsorptionCDF(ctx, times, 1e-10)
 }
 
 func nanVec(n int) []float64 {
@@ -301,31 +294,41 @@ func (m *AsyncModel) MeanLWald() ([]float64, error) {
 // states with exactly u ones (u indexed 0..n), with the entry state counted
 // under u = n. Used to analyze where the interval X is spent.
 func (m *AsyncModel) OccupancyByOnes() ([]float64, error) {
-	n := m.P.N()
-	switch {
-	case m.orbit != nil:
-		return m.orbit.occupancyByOnes()
-	case m.kron != nil:
-		occ, err := m.kron.mf.ExpectedOccupancy()
+	out := make([]float64, m.P.N()+1)
+	if c, entry := m.exactChain(); c != nil {
+		occ, err := c.ExpectedOccupancy(entry)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]float64, n+1)
 		for s, v := range occ {
-			out[popcount(s)] += v // the all-ones vertex is the entry: u = n
+			if !c.IsAbsorbing(s) {
+				out[m.onesOf(s)] += v
+			}
 		}
 		return out, nil
 	}
-	occ, err := m.chain.ExpectedOccupancy(m.Entry())
+	occ, err := m.kron.mf.ExpectedOccupancy()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, n+1)
-	out[n] += occ[m.Entry()]
-	for mask := 0; mask < m.ones; mask++ {
-		out[popcount(mask)] += occ[m.StateOf(mask)]
+	for s, v := range occ {
+		out[popcount(s)] += v // the all-ones vertex is the entry: u = n
 	}
 	return out, nil
+}
+
+// onesOf returns the marked-process count of a transient state of the
+// exact chain: the lumped cell's count on the orbit route, the mask's
+// popcount on the enumerated route, where the entry counts as all n ones.
+func (m *AsyncModel) onesOf(s int) int {
+	switch {
+	case m.orbit != nil:
+		return m.orbit.totalOf(s)
+	case s == m.Entry():
+		return m.P.N()
+	default:
+		return popcount(m.MaskOf(s))
+	}
 }
 
 func popcount(x int) int {

@@ -89,7 +89,7 @@ func BenchmarkKron(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := orb.MomentsX(); err != nil {
+					if _, _, err := orb.Chain().AbsorptionMoments(orb.Entry()); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -2,6 +2,7 @@ package rbmodel
 
 import (
 	"context"
+	"math"
 )
 
 // Context-aware variants of the chain-solving entry points. The context
@@ -19,42 +20,45 @@ func (m *AsyncModel) MeanXCtx(ctx context.Context) (float64, error) {
 	return m1, err
 }
 
-// MomentsXCtx is MomentsX under an explicit context. Every backend runs its
-// moment ladder under the same guard contract: the enumerated and orbit
-// chains through the dense/CSR rungs, the kron engine through the
-// kron-krylov/kron-uniformization/kron-mc rungs.
+// MomentsXCtx is MomentsX under an explicit context. Every backend runs the
+// one moment ladder of internal/markov under the same guard contract; only
+// the primary differs: dense-lu or sparse-gs on the enumerated and orbit
+// chains, kron-krylov on the kron engine, with uniformization and
+// mc-estimate as the shared fallback rungs.
 func (m *AsyncModel) MomentsXCtx(ctx context.Context) (m1, m2 float64, err error) {
-	switch {
-	case m.chain != nil:
-		return m.chain.AbsorptionMomentsCtx(ctx, m.Entry())
-	case m.orbit != nil:
-		return m.orbit.Chain().AbsorptionMomentsCtx(ctx, m.orbit.Entry())
-	default:
-		return m.kron.mf.AbsorptionMomentsCtx(ctx)
+	if c, entry := m.exactChain(); c != nil {
+		return c.AbsorptionMomentsCtx(ctx, entry)
 	}
+	return m.kron.mf.AbsorptionMomentsCtx(ctx)
 }
 
-// MeanLWaldCtx is MeanLWald under an explicit context.
-func (m *AsyncModel) MeanLWaldCtx(ctx context.Context) ([]float64, error) {
-	ex, err := m.MeanXCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, m.P.N())
-	for i, mu := range m.P.Mu {
-		out[i] = mu * ex
-	}
-	return out, nil
-}
-
-// DeadlineMissProbCtx is DeadlineMissProb under an explicit context: the
-// uniformization sweep itself is deterministic and cheap, so the context
-// only gates entry (cancellation before the sweep starts).
+// DeadlineMissProbCtx is DeadlineMissProb under an explicit context. The
+// enumerated and orbit chains answer with one uniformization sweep, gated on
+// entry; on the kron route every Krylov-exponential segment of the sweep is
+// a recovery block under ctx, so cancellation stops it between segments and a
+// fallback onto uniformization reaches the context's guard.Recorder.
 func (m *AsyncModel) DeadlineMissProbCtx(ctx context.Context, d float64) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return m.DeadlineMissProb(d)
+	if err := checkDeadline(d); err != nil {
+		return 0, err
+	}
+	if d < 0 {
+		return 1, nil
+	}
+	if math.IsInf(d, 1) {
+		return 0, nil // X is finite almost surely: absorption is certain
+	}
+	cdf, err := m.cdfX(ctx, []float64{d})
+	if err != nil {
+		return 0, err
+	}
+	p := 1 - cdf[0]
+	if p < 0 { // numerical guard
+		p = 0
+	}
+	return p, nil
 }
 
 // MeanXCtx is MeanX under an explicit context.

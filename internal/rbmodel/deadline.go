@@ -1,6 +1,7 @@
 package rbmodel
 
 import (
+	"context"
 	"errors"
 	"math"
 
@@ -19,24 +20,7 @@ import (
 // forms within d time units, so a failure at the wrong moment forces a
 // rollback (and re-execution) longer than the deadline.
 func (m *AsyncModel) DeadlineMissProb(d float64) (float64, error) {
-	if err := checkDeadline(d); err != nil {
-		return 0, err
-	}
-	if d < 0 {
-		return 1, nil
-	}
-	if math.IsInf(d, 1) {
-		return 0, nil // X is finite almost surely: absorption is certain
-	}
-	cdf, err := m.cdfX([]float64{d})
-	if err != nil {
-		return 0, err
-	}
-	p := 1 - cdf[0]
-	if p < 0 { // numerical guard
-		p = 0
-	}
-	return p, nil
+	return m.DeadlineMissProbCtx(context.Background(), d)
 }
 
 // DeadlineMissProb for the lumped chain (large n).
@@ -90,7 +74,7 @@ func (m *AsyncModel) QuantileX(q float64) (float64, error) {
 	}
 	lo, hi := 0.0, mean
 	for i := 0; i < 200; i++ {
-		cdf, err := m.cdfX([]float64{hi})
+		cdf, err := m.cdfX(context.Background(), []float64{hi})
 		if err != nil {
 			return 0, err
 		}
@@ -104,7 +88,7 @@ func (m *AsyncModel) QuantileX(q float64) (float64, error) {
 	}
 	for i := 0; i < 100 && hi-lo > 1e-9*(1+hi); i++ {
 		mid := (lo + hi) / 2
-		cdf, err := m.cdfX([]float64{mid})
+		cdf, err := m.cdfX(context.Background(), []float64{mid})
 		if err != nil {
 			return 0, err
 		}

@@ -2,6 +2,7 @@ package rbmodel
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -310,10 +311,10 @@ func TestLargeNKronMatchesOrbit(t *testing.T) {
 	}
 }
 
-// TestKronLadderFaultInjection forces the matrix-free moment ladder off its
-// kron-krylov rung through the model surface: depth 1 lands on
-// kron-uniformization (exact, not degraded), saturating depths clamp onto the
-// degraded kron-mc rung, and the healthy answer is reproduced within each
+// TestKronLadderFaultInjection forces the moment ladder off its kron-krylov
+// primary through the model surface: depth 1 lands on the shared
+// uniformization rung (exact, not degraded), saturating depths clamp onto the
+// degraded mc-estimate rung, and the healthy answer is reproduced within each
 // rung's tolerance.
 func TestKronLadderFaultInjection(t *testing.T) {
 	p := randomParams(rand.New(rand.NewSource(41)), 6)
@@ -334,7 +335,8 @@ func TestKronLadderFaultInjection(t *testing.T) {
 			t.Fatalf("depth %d: events = %+v", depth, ev)
 		}
 		wantRung := min(depth, 2)
-		if ev[0].Attempt != wantRung || ev[0].Degraded != (wantRung == 2) {
+		wantRoute := []string{"kron-krylov", "uniformization", "mc-estimate"}[wantRung]
+		if ev[0].Attempt != wantRung || ev[0].Route != wantRoute || ev[0].Degraded != (wantRung == 2) {
 			t.Fatalf("depth %d: landed on rung %d (degraded %v)", depth, ev[0].Attempt, ev[0].Degraded)
 		}
 		switch {
@@ -348,6 +350,36 @@ func TestKronLadderFaultInjection(t *testing.T) {
 				t.Fatalf("depth %d: MC mean %g is %.1f SE from %g", depth, f1, math.Abs(f1-h1)/se, h1)
 			}
 		}
+	}
+}
+
+// TestKronDeadlineFallbackIsRecorded: DeadlineMissProbCtx hands its context
+// to the matrix-free transient sweep, so a forced Krylov-exponential failure
+// reaches the Recorder (advice built on it cannot be labelled exact), the
+// uniformization alternate reproduces the healthy probability, and a dead
+// context stops the sweep.
+func TestKronDeadlineFallbackIsRecorded(t *testing.T) {
+	m := forceKron(randomParams(rand.New(rand.NewSource(41)), 6))
+	want, err := m.DeadlineMissProb(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &guard.Recorder{}
+	ctx := guard.WithRecorder(guard.WithFaults(context.Background(), guard.FaultSpec{Depth: 1}), rec)
+	got, err := m.DeadlineMissProbCtx(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if routes := rec.Routes(); len(routes) != 1 || routes[0] != "markov/transient-segment→uniformization" {
+		t.Fatalf("fallback routes = %v, want the transient segment's uniformization", routes)
+	}
+	if math.Abs(got-want) > 1e-9 {
+		t.Fatalf("P(X > 2) = %.12g under fallback, healthy %.12g", got, want)
+	}
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := m.DeadlineMissProbCtx(cctx, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled deadline solve returned %v", err)
 	}
 }
 

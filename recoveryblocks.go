@@ -695,7 +695,7 @@ func EngineLimits() Limits {
 	return Limits{
 		MaxExactProcesses:      rbmodel.MaxExactProcesses,
 		MaxEnumeratedProcesses: rbmodel.MaxEnumeratedProcesses,
-		KronCutoff:             markov.KronCutoff,
+		KronCutoff:             rbmodel.KronCutoff,
 		SparseCutoff:           markov.SparseCutoff,
 		DefaultBlockSize:       mc.DefaultBlockSize,
 		MaxEveryK:              strategy.MaxEveryK,
